@@ -13,15 +13,16 @@
 //! lexicographic objective *(fewest severe conflicts, most references
 //! exploiting group reuse among placed variables, smallest pad)*.
 //!
-//! Two interchangeable engines run the search: the pruned incremental one
-//! in [`crate::search`] (default) and the exhaustive scalar scan kept here
-//! (selected by [`crate::search::set_fast_search`]`(false)`, the
-//! `--no-fast-search` flag on the experiment binaries). They produce
-//! bitwise-identical pads; the parity suite in `mlc-experiments` checks
-//! every kernel × hierarchy, and debug builds cross-check each placement.
+//! Two interchangeable engines run the search, named by [`PadSearch`]: the
+//! pruned incremental one in [`crate::search`] (what [`group_pad`] and
+//! [`group_pad_quantized`] run) and the exhaustive scalar scan kept here.
+//! They produce bitwise-identical pads; the parity suite in
+//! `mlc-experiments` checks every kernel × hierarchy, and debug builds
+//! cross-check each placement.
 
 use crate::group::ProgramSkeleton;
 use crate::pad::{PadError, PadResult};
+use crate::search::PadSearch;
 use mlc_cache_sim::CacheConfig;
 use mlc_model::{DataLayout, Program};
 
@@ -51,19 +52,21 @@ pub fn group_pad_quantized(
     base_pads: &[u64],
 ) -> Result<PadResult, PadError> {
     let skel = ProgramSkeleton::new(program);
-    group_pad_quantized_with(program, &skel, cache, quantum, base_pads)
+    group_pad_quantized_with(program, &skel, cache, quantum, base_pads, PadSearch::Pruned)
 }
 
-/// [`group_pad_quantized`] against a prebuilt [`ProgramSkeleton`] — the
-/// entry point for callers that run many searches over one program (the
-/// multi-level recursion, sweep drivers, benchmarks), hoisting skeleton
-/// construction out of the loop.
+/// [`group_pad_quantized`] against a prebuilt [`ProgramSkeleton`] with an
+/// explicit search engine — the entry point for callers that run many
+/// searches over one program (the multi-level recursion, benchmarks),
+/// hoisting skeleton construction out of the loop, and for the parity
+/// checks that run both engines.
 pub fn group_pad_quantized_with(
     program: &Program,
     skel: &ProgramSkeleton,
     cache: CacheConfig,
     quantum: u64,
     base_pads: &[u64],
+    engine: PadSearch,
 ) -> Result<PadResult, PadError> {
     if quantum == 0 || !(cache.size as u64).is_multiple_of(quantum) {
         return Err(PadError::BadQuantum {
@@ -83,10 +86,9 @@ pub fn group_pad_quantized_with(
     } else {
         base_pads.to_vec()
     };
-    let (pads, tried, scored) = if crate::search::fast_search_enabled() {
-        crate::search::grouppad_search(skel, cache, quantum, base)
-    } else {
-        scalar_search(skel, cache, quantum, base)
+    let (pads, tried, scored) = match engine {
+        PadSearch::Pruned => crate::search::grouppad_search(skel, cache, quantum, base),
+        PadSearch::Exhaustive => scalar_search(skel, cache, quantum, base),
     };
     Ok(PadResult {
         layout: DataLayout::with_pads(&program.arrays, &pads),
@@ -97,8 +99,8 @@ pub fn group_pad_quantized_with(
 }
 
 /// The exhaustive scalar scan: every candidate position, full recompute.
-/// Kept verbatim as the `--no-fast-search` reference implementation and the
-/// baseline of the `optimizer_throughput` benchmark.
+/// Kept verbatim as the [`PadSearch::Exhaustive`] reference implementation
+/// and the baseline of the `optimizer_throughput` benchmark.
 fn scalar_search(
     skel: &ProgramSkeleton,
     cache: CacheConfig,
@@ -176,14 +178,16 @@ fn scalar_search(
 /// cache size) is untouched. Works for any hierarchy depth; errors with
 /// [`PadError::BadQuantum`] on a hierarchy whose sizes do not nest.
 ///
-/// The program skeleton is built once and shared across all levels.
+/// The program skeleton is built once and shared across all levels, and
+/// every level runs `engine`.
 pub fn group_pad_multi(
     program: &Program,
     hierarchy: &mlc_cache_sim::HierarchyConfig,
+    engine: PadSearch,
 ) -> Result<PadResult, PadError> {
     let skel = ProgramSkeleton::new(program);
     let l1 = hierarchy.l1();
-    let mut result = group_pad_quantized_with(program, &skel, l1, l1.line as u64, &[])?;
+    let mut result = group_pad_quantized_with(program, &skel, l1, l1.line as u64, &[], engine)?;
     let mut tried = result.positions_tried;
     let mut scored = result.positions_scored;
     for level in 1..hierarchy.depth() {
@@ -194,6 +198,7 @@ pub fn group_pad_multi(
             hierarchy.levels[level],
             quantum,
             &result.pads,
+            engine,
         )?;
         tried += r.positions_tried;
         scored += r.positions_scored;
@@ -209,7 +214,6 @@ mod tests {
     use super::*;
     use crate::conflict::severe_conflicts;
     use crate::group::{account, exploited_count, RefClass};
-    use crate::search::FAST_SEARCH_TEST_LOCK;
     use mlc_cache_sim::CacheConfig;
     use mlc_model::program::figure2_example;
     use mlc_model::transform::fuse_in_program;
@@ -318,20 +322,17 @@ mod tests {
     fn quantum_equal_to_cache_size_has_a_single_candidate() {
         // candidates = size/quantum = 1: the only position is the base pad
         // itself, for both engines, with one try per place call.
-        let _g = FAST_SEARCH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         let p = figure2_example(60);
+        let skel = ProgramSkeleton::new(&p);
         let cache = CacheConfig::direct_mapped(1024, 32);
-        for fast in [true, false] {
-            crate::search::set_fast_search(fast);
-            let r = group_pad_quantized(&p, cache, 1024, &[32, 64, 96]).unwrap();
-            assert_eq!(r.pads, vec![32, 64, 96], "fast={fast}: pads must not move");
+        for engine in [PadSearch::Pruned, PadSearch::Exhaustive] {
+            let r =
+                group_pad_quantized_with(&p, &skel, cache, 1024, &[32, 64, 96], engine).unwrap();
+            assert_eq!(r.pads, vec![32, 64, 96], "{engine:?}: pads must not move");
             // 3 greedy places + one no-change refinement sweep of 3.
-            assert_eq!(r.positions_tried, 6, "fast={fast}");
-            assert_eq!(r.positions_scored, 6, "fast={fast}: nothing to prune");
+            assert_eq!(r.positions_tried, 6, "{engine:?}");
+            assert_eq!(r.positions_scored, 6, "{engine:?}: nothing to prune");
         }
-        crate::search::set_fast_search(true);
     }
 
     #[test]
@@ -376,7 +377,7 @@ mod tests {
         let h = HierarchyConfig::alpha_21164_like(); // three levels
         let p = figure2_example(300);
         let single = group_pad(&p, h.l1());
-        let multi = group_pad_multi(&p, &h).unwrap();
+        let multi = group_pad_multi(&p, &h, PadSearch::Pruned).unwrap();
         // Every level-ℓ phase uses multiples of level ℓ−1's size, so the L1
         // residues of the final layout match the pure-L1 run.
         let s1 = h.l1().size as u64;
@@ -404,7 +405,7 @@ mod tests {
         use mlc_cache_sim::HierarchyConfig;
         let h = HierarchyConfig::ultrasparc_i();
         let p = figure2_example(60);
-        let multi = group_pad_multi(&p, &h).unwrap();
+        let multi = group_pad_multi(&p, &h, PadSearch::Pruned).unwrap();
         let manual = {
             let g = group_pad(&p, h.l1());
             group_pad_quantized(&p, h.levels[1], h.l1().size as u64, &g.pads).unwrap()
@@ -429,18 +430,17 @@ mod tests {
         // The core parity property, at diagram scale and on the real L1,
         // single- and multi-level. (The full 24-kernel matrix lives in the
         // mlc-experiments search_parity suite.)
-        let _g = FAST_SEARCH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         use mlc_cache_sim::HierarchyConfig;
         for n in [60usize, 64, 300, 450] {
             let p = figure2_example(n);
+            let skel = ProgramSkeleton::new(&p);
             for cache in [small_l1(), CacheConfig::direct_mapped(16 * 1024, 32)] {
-                crate::search::set_fast_search(true);
-                let fast = group_pad(&p, cache);
-                crate::search::set_fast_search(false);
-                let scalar = group_pad(&p, cache);
-                crate::search::set_fast_search(true);
+                let run = |engine| {
+                    group_pad_quantized_with(&p, &skel, cache, cache.line as u64, &[], engine)
+                        .unwrap()
+                };
+                let fast = run(PadSearch::Pruned);
+                let scalar = run(PadSearch::Exhaustive);
                 assert_eq!(fast.pads, scalar.pads, "N={n}, cache {cache:?}");
                 assert_eq!(fast.layout.bases, scalar.layout.bases);
                 assert_eq!(fast.positions_tried, scalar.positions_tried);
@@ -448,11 +448,8 @@ mod tests {
                 assert_eq!(scalar.positions_scored, scalar.positions_tried);
             }
             let h = HierarchyConfig::ultrasparc_i();
-            crate::search::set_fast_search(true);
-            let fast = group_pad_multi(&p, &h).unwrap();
-            crate::search::set_fast_search(false);
-            let scalar = group_pad_multi(&p, &h).unwrap();
-            crate::search::set_fast_search(true);
+            let fast = group_pad_multi(&p, &h, PadSearch::Pruned).unwrap();
+            let scalar = group_pad_multi(&p, &h, PadSearch::Exhaustive).unwrap();
             assert_eq!(fast.pads, scalar.pads, "multi-level, N={n}");
             assert_eq!(fast.positions_tried, scalar.positions_tried);
         }

@@ -391,8 +391,9 @@ mod tests {
         // B(i,j) walk misses every access under any padding, and a blocked
         // interleave word converts it to tile-local traffic.
         let p = transpose_program(64);
+        // (The process-wide counters this search bumps are checked in
+        // `tests/layout_search_stats.rs`, a test process of its own.)
         let h = small_hierarchy();
-        stats::take_stats();
         let r = search_morton(&p, &[0, 0], &h).unwrap();
         assert!(
             r.any_morton(),
@@ -401,10 +402,6 @@ mod tests {
             r.linear_cost
         );
         assert!(r.cost < r.linear_cost);
-        let s = stats::take_stats();
-        assert!(s.words_scored > 0);
-        assert!(s.morton_wins >= 1);
-        assert_eq!(s.arrays_searched, 2);
     }
 
     #[test]

@@ -41,32 +41,25 @@
 //! Large candidate scans additionally fan out over the work-stealing
 //! executor in [`crate::exec`].
 //!
-//! The `--no-fast-search` flag on the experiment binaries clears
-//! [`set_fast_search`], restoring the scalar scan (used by the
-//! `optimizer_throughput` A/B benchmark and as an escape hatch).
+//! Callers pick the engine explicitly with [`PadSearch`]: the optimizer
+//! pipeline always runs [`PadSearch::Pruned`]; the parity suites and the
+//! `optimizer_throughput` A/B benchmark also run
+//! [`PadSearch::Exhaustive`], the scalar reference scan.
 
 use crate::group::ProgramSkeleton;
 use mlc_cache_sim::CacheConfig;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Process-wide switch for the pruned incremental search. Defaults to on;
-/// results are identical either way (differentially tested).
-static FAST_SEARCH: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the fast search path process-wide.
-pub fn set_fast_search(enabled: bool) {
-    FAST_SEARCH.store(enabled, Ordering::Relaxed);
+/// Which engine runs GROUPPAD's position search. Both produce
+/// bitwise-identical pads, bases and `positions_tried` (differentially
+/// tested); only the time and `positions_scored` differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PadSearch {
+    /// The pruned incremental engine of this module.
+    Pruned,
+    /// The exhaustive scalar scan: every candidate, full recompute.
+    Exhaustive,
 }
-
-/// Whether the fast search path is enabled.
-pub fn fast_search_enabled() -> bool {
-    FAST_SEARCH.load(Ordering::Relaxed)
-}
-
-/// Tests toggling [`set_fast_search`] serialize on this lock so parallel
-/// test threads do not observe each other's switch flips.
-pub static FAST_SEARCH_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Per-thread counters for the pruned search, exported as telemetry by the
 /// pipeline. Thread-local because the sweep drivers run one optimization
@@ -550,18 +543,6 @@ mod tests {
         let st = take_stats();
         assert!(st.candidates_scored > 0);
         assert_eq!(take_stats(), SearchStats::default());
-    }
-
-    #[test]
-    fn fast_search_switch_round_trips() {
-        let _g = FAST_SEARCH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        assert!(fast_search_enabled());
-        set_fast_search(false);
-        assert!(!fast_search_enabled());
-        set_fast_search(true);
-        assert!(fast_search_enabled());
     }
 
     #[test]

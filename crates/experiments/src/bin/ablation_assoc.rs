@@ -23,6 +23,7 @@ const PROGRAMS: [&str; 4] = ["expl512", "jacobi512", "shal512", "dot512"];
 fn main() {
     let (mut tcli, _args) = TelemetryCli::from_env();
     let tel = &mut tcli.telemetry;
+    let cache = tcli.cache.as_deref();
     let dm = HierarchyConfig::ultrasparc_i();
     println!("Associativity ablation: layouts padded for DIRECT-MAPPED caches,");
     println!("simulated on k-way versions of the same hierarchy (LRU)\n");
@@ -34,8 +35,8 @@ fn main() {
         tel.tracer.attr(span, "name", name);
         for assoc in [1usize, 2, 4] {
             let h = HierarchyConfig::ultrasparc_like_assoc(assoc);
-            let orig = simulate_one(&v.orig_program, &v.orig_layout, &h);
-            let opt = simulate_one(&v.l1l2.program, &v.l1l2.layout, &h);
+            let orig = simulate_one(&v.orig_program, &v.orig_layout, &h, cache);
+            let opt = simulate_one(&v.l1l2.program, &v.l1l2.layout, &h, cache);
             tel.metrics.set_value(
                 &format!("ablation_assoc.{name}.{assoc}way.l1.orig"),
                 orig.miss_rate(0),

@@ -19,6 +19,7 @@ const PROGRAMS: [&str; 3] = ["expl512", "jacobi512", "shal512"];
 fn main() {
     let (mut tcli, _args) = TelemetryCli::from_env();
     let tel = &mut tcli.telemetry;
+    let cache = tcli.cache.as_deref();
     let h = HierarchyConfig::alpha_21164_like();
     println!(
         "Three-level hierarchy ablation (Alpha 21164-like: {}K/{}K/{}M, lines {:?})\n",
@@ -32,9 +33,9 @@ fn main() {
         let span = tel.tracer.begin("ablation_l3.program");
         tel.tracer.attr(span, "name", name);
         let v = build_versions(&k.model(), &h, OptLevel::Conflict);
-        let orig = simulate_one(&v.orig_program, &v.orig_layout, &h);
-        let l1 = simulate_one(&v.l1.program, &v.l1.layout, &h);
-        let multi = simulate_one(&v.l1l2.program, &v.l1l2.layout, &h);
+        let orig = simulate_one(&v.orig_program, &v.orig_layout, &h, cache);
+        let l1 = simulate_one(&v.l1.program, &v.l1.layout, &h, cache);
+        let multi = simulate_one(&v.l1l2.program, &v.l1l2.layout, &h, cache);
         tel.tracer.end(span);
         for lvl in 0..3 {
             let key = format!("ablation_l3.{name}.l{}", lvl + 1);

@@ -21,6 +21,7 @@ use mlc_experiments::{Table, TelemetryCli};
 fn main() {
     let (mut tcli, _args) = TelemetryCli::from_env();
     let tel = &mut tcli.telemetry;
+    let cache = tcli.cache.as_deref();
     println!("L2 line-size ablation on dot512 (the kernel the paper's footnote singles");
     println!("out for line-size effects) and expl512\n");
     for name in ["dot512", "expl512"] {
@@ -44,9 +45,9 @@ fn main() {
                 vec![6.0, 50.0],
             );
             let v = build_versions(&k.model(), &h, OptLevel::Conflict);
-            let orig = simulate_one(&v.orig_program, &v.orig_layout, &h);
-            let l1 = simulate_one(&v.l1.program, &v.l1.layout, &h);
-            let multi = simulate_one(&v.l1l2.program, &v.l1l2.layout, &h);
+            let orig = simulate_one(&v.orig_program, &v.orig_layout, &h, cache);
+            let l1 = simulate_one(&v.l1.program, &v.l1.layout, &h, cache);
+            let multi = simulate_one(&v.l1l2.program, &v.l1l2.layout, &h, cache);
             let key = format!("ablation_line.{name}.line{l2_line}");
             tel.metrics
                 .set_value(&format!("{key}.l2.orig"), orig.miss_rate(1));

@@ -28,6 +28,7 @@ use mlc_model::DataLayout;
 fn main() {
     let (mut tcli, _args) = TelemetryCli::from_env();
     let tel = &mut tcli.telemetry;
+    let cache = tcli.cache.as_deref();
     let (n, t_steps) = (512usize, 8usize);
     let h = HierarchyConfig::ultrasparc_i();
     let costs = MissCosts::from_hierarchy(&h);
@@ -55,7 +56,7 @@ fn main() {
             None => time_stepped_jacobi2d(n, t_steps),
             Some(w) => time_tiled_jacobi2d(n, t_steps, w),
         };
-        simulate_cold(&p, &DataLayout::contiguous(&p.arrays), &h)
+        simulate_cold(&p, &DataLayout::contiguous(&p.arrays), &h, cache)
     });
     tel.tracer.end(span);
     tel.metrics

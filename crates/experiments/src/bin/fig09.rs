@@ -22,6 +22,7 @@ use mlc_kernels::all_kernels;
 fn main() {
     let (mut tcli, args) = TelemetryCli::from_env();
     let tel = &mut tcli.telemetry;
+    let cache = tcli.cache.as_deref();
     let csv = args.iter().any(|a| a == "--csv");
     let no_timing = args.iter().any(|a| a == "--no-timing");
     let h = HierarchyConfig::ultrasparc_i();
@@ -35,7 +36,7 @@ fn main() {
     let (results, report) = execute(names.clone(), default_threads(), |name| {
         let k = mlc_kernels::kernel_by_name(name).unwrap();
         let v = build_versions(&k.model(), &h, OptLevel::Conflict);
-        let r = simulate_versions(&v, &h);
+        let r = simulate_versions(&v, &h, cache);
         (v, r)
     });
     tel.tracer.attr(sim_span, "programs", names.len() as u64);

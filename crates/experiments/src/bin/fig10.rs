@@ -21,6 +21,7 @@ const PROGRAMS: [&str; 5] = ["expl512", "jacobi512", "shal512", "swim", "tomcatv
 fn main() {
     let (mut tcli, args) = TelemetryCli::from_env();
     let tel = &mut tcli.telemetry;
+    let cache = tcli.cache.as_deref();
     let csv = args.iter().any(|a| a == "--csv");
     let no_timing = args.iter().any(|a| a == "--no-timing");
     let h = HierarchyConfig::ultrasparc_i();
@@ -33,7 +34,7 @@ fn main() {
     let (results, report) = execute(PROGRAMS.to_vec(), default_threads(), |name| {
         let k = mlc_kernels::kernel_by_name(name).unwrap();
         let v = build_versions(&k.model(), &h, OptLevel::GroupReuse);
-        let r = simulate_versions(&v, &h);
+        let r = simulate_versions(&v, &h, cache);
         (v, r)
     });
     tel.tracer.attr(sim_span, "programs", PROGRAMS.len() as u64);

@@ -10,6 +10,7 @@
 //! ```
 
 use mlc_cache_sim::HierarchyConfig;
+use mlc_core::ResultCache;
 use mlc_experiments::sim::{default_threads, execute, simulate_one};
 use mlc_experiments::versions::{build_versions, OptLevel};
 use mlc_experiments::{Table, TelemetryCli};
@@ -24,6 +25,7 @@ fn sweep(
     sizes: &[usize],
     csv: bool,
     tel: &mut Telemetry,
+    cache: Option<&ResultCache>,
 ) {
     let h = HierarchyConfig::ultrasparc_i();
     eprintln!("fig11: sweeping {name} over {} sizes ...", sizes.len());
@@ -33,8 +35,8 @@ fn sweep(
     let (rows, report) = execute(sizes.to_vec(), default_threads(), |&n| {
         let p = model_of(n);
         let v = build_versions(&p, &h, OptLevel::GroupReuse);
-        let r1 = simulate_one(&v.l1.program, &v.l1.layout, &h);
-        let r2 = simulate_one(&v.l1l2.program, &v.l1l2.layout, &h);
+        let r1 = simulate_one(&v.l1.program, &v.l1.layout, &h, cache);
+        let r2 = simulate_one(&v.l1l2.program, &v.l1l2.layout, &h, cache);
         (n, r1, r2)
     });
     report.install_metrics(&mut tel.metrics, "exec");
@@ -71,6 +73,7 @@ fn sweep(
 fn main() {
     let (mut tcli, args) = TelemetryCli::from_env();
     let tel = &mut tcli.telemetry;
+    let cache = tcli.cache.as_deref();
     let csv = args.iter().any(|a| a == "--csv");
     let step: usize = args
         .iter()
@@ -80,8 +83,15 @@ fn main() {
         .unwrap_or(1);
     let sizes: Vec<usize> = (250..=520).step_by(step).collect();
 
-    sweep("EXPL", |n| Expl::new(n).model(), &sizes, csv, tel);
-    sweep("SHAL", |n| Shallow::shal(n).model(), &sizes, csv, tel);
+    sweep("EXPL", |n| Expl::new(n).model(), &sizes, csv, tel, cache);
+    sweep(
+        "SHAL",
+        |n| Shallow::shal(n).model(),
+        &sizes,
+        csv,
+        tel,
+        cache,
+    );
 
     println!("(paper: both versions share L1 rates; GROUPPAD-alone shows clusters of");
     println!(" sizes with up to ~5% higher L2 rates; L2MAXPAD's L2 curve stays flat.)");

@@ -32,6 +32,7 @@ use mlc_model::transform::fuse_unchecked_in_program;
 fn main() {
     let (mut tcli, args) = TelemetryCli::from_env();
     let tel = &mut tcli.telemetry;
+    let cache = tcli.cache.as_deref();
     let csv = args.iter().any(|a| a == "--csv");
     let step: usize = args
         .iter()
@@ -73,9 +74,9 @@ fn main() {
         let d_mem = acc_after.memory_refs as i64 - acc_before.memory_refs as i64;
 
         // Simulated miss rates, normalized to the ORIGINAL reference count.
-        let r_before = simulate_one(&p, &lay_before, &h);
+        let r_before = simulate_one(&p, &lay_before, &h, cache);
         let orig_refs = r_before.total_references;
-        let r_after = simulate_one(&fused, &lay_after, &h).normalized_to(orig_refs);
+        let r_after = simulate_one(&fused, &lay_after, &h, cache).normalized_to(orig_refs);
         let d_l1_rate = r_after.miss_rate(0) - r_before.miss_rate(0);
         let d_l2_rate = r_after.miss_rate(1) - r_before.miss_rate(1);
         (n, d_l2, d_mem, d_l1_rate, d_l2_rate)

@@ -57,6 +57,7 @@ fn time_version(n: usize, variant: &Variant, reps: usize) -> f64 {
 fn main() {
     let (mut tcli, args) = TelemetryCli::from_env();
     let tel = &mut tcli.telemetry;
+    let cache = tcli.cache.as_deref();
     let csv = args.iter().any(|a| a == "--csv");
     let quick = args.iter().any(|a| a == "--quick");
     let step: usize = args
@@ -136,7 +137,7 @@ fn main() {
             }
         };
         let layout = DataLayout::contiguous(&model.arrays);
-        simulate_cold(&model, &layout, &h2)
+        simulate_cold(&model, &layout, &h2, cache)
     });
     tel.tracer.attr(sim_span, "jobs", jobs.len() as u64);
     tel.tracer.end(sim_span);

@@ -122,6 +122,7 @@ fn run(tcli: &mut TelemetryCli, argv: &[String]) -> Result<(), String> {
         }
     }
     let tel = &mut tcli.telemetry;
+    let cache = tcli.cache.as_deref();
     match a.cmd.as_str() {
         "list" => {
             println!(
@@ -159,7 +160,7 @@ fn run(tcli: &mut TelemetryCli, argv: &[String]) -> Result<(), String> {
                 }
             };
             let steady = tel.tracer.begin("sim.steady");
-            let r = simulate_one(&program, &layout, &h);
+            let r = simulate_one(&program, &layout, &h, cache);
             tel.tracer.end(steady);
             // A second pass for the write-back counters (simulate_one hides
             // its hierarchy).

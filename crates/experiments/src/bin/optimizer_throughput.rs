@@ -1,7 +1,7 @@
 //! Timed A/B harness for the pruned incremental padding-search engine.
 //!
 //! Runs the multi-level GROUPPAD search over every registered kernel twice
-//! — once with the exhaustive scalar scan (`--no-fast-search` semantics)
+//! — once with the exhaustive scalar scan ([`PadSearch::Exhaustive`])
 //! and once with the pruned incremental engine — and reports searches per
 //! second for both, writing the results as JSON (default
 //! `BENCH_optimizer_throughput.json`; CI archives it). The two engines are
@@ -29,7 +29,7 @@
 use mlc_cache_sim::HierarchyConfig;
 use mlc_core::group_pad::group_pad_multi;
 use mlc_core::par::{default_threads, par_map};
-use mlc_core::search::set_fast_search;
+use mlc_core::PadSearch;
 use mlc_experiments::history_cli::HistoryCli;
 use mlc_kernels::registry::all_kernels;
 use mlc_kernels::Kernel;
@@ -64,8 +64,7 @@ impl Case {
     }
 }
 
-/// Best-of-`reps` wall time of `f`. The engine switch is process-wide, so
-/// the caller sets it before timing.
+/// Best-of-`reps` wall time of `f`.
 fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
@@ -107,11 +106,10 @@ fn main() {
     // ratio is the pure engine speedup on the paper's hierarchy.
     for kernel in all_kernels() {
         let program = kernel.model();
-        set_fast_search(false);
-        let scalar_secs = best_of(reps, || group_pad_multi(&program, &h).unwrap());
-        set_fast_search(true);
-        let fast_secs = best_of(reps, || group_pad_multi(&program, &h).unwrap());
-        let r = group_pad_multi(&program, &h).unwrap();
+        let search = |engine| group_pad_multi(&program, &h, engine).unwrap();
+        let scalar_secs = best_of(reps, || search(PadSearch::Exhaustive));
+        let fast_secs = best_of(reps, || search(PadSearch::Pruned));
+        let r = search(PadSearch::Pruned);
         let case = Case {
             name: kernel.name().to_string(),
             kind: "kernel",
@@ -143,22 +141,24 @@ fn main() {
         ("shal", |n| mlc_kernels::shal::Shallow::shal(n).model()),
     ];
     for &(name, model_of) in sweeps {
-        set_fast_search(false);
         let scalar_secs = best_of(reps, || {
             for &n in &sizes {
-                std::hint::black_box(group_pad_multi(&model_of(n), &h).unwrap());
+                std::hint::black_box(
+                    group_pad_multi(&model_of(n), &h, PadSearch::Exhaustive).unwrap(),
+                );
             }
         });
-        set_fast_search(true);
         let fast_secs = best_of(reps, || {
             par_map(sizes.clone(), threads, |&n| {
-                group_pad_multi(&model_of(n), &h).unwrap().pads
+                group_pad_multi(&model_of(n), &h, PadSearch::Pruned)
+                    .unwrap()
+                    .pads
             })
         });
         let (tried, scored) = sizes
             .iter()
             .map(|&n| {
-                let r = group_pad_multi(&model_of(n), &h).unwrap();
+                let r = group_pad_multi(&model_of(n), &h, PadSearch::Pruned).unwrap();
                 (r.positions_tried, r.positions_scored)
             })
             .fold((0, 0), |(t, s), (dt, ds)| (t + dt, s + ds));

@@ -27,10 +27,10 @@ fn main() {
         let k = mlc_kernels::kernel_by_name(name).unwrap();
         let v = build_versions(&k.model(), &h, OptLevel::GroupReuse);
         // Padded version: estimate vs simulate.
-        let sim_opt = simulate_one(&v.l1l2.program, &v.l1l2.layout, &h);
+        let sim_opt = simulate_one(&v.l1l2.program, &v.l1l2.layout, &h, None);
         let est_opt = estimate_misses(&v.l1l2.program, &v.l1l2.layout, &h);
         // Original version, for the ranking check.
-        let sim_orig = simulate_one(&v.orig_program, &v.orig_layout, &h);
+        let sim_orig = simulate_one(&v.orig_program, &v.orig_layout, &h, None);
         let est_orig = estimate_misses(&v.orig_program, &v.orig_layout, &h);
         (name.clone(), sim_opt, est_opt, sim_orig, est_orig)
     });

@@ -4,78 +4,9 @@ use crate::versions::Versions;
 use mlc_cache_sim::stats::MissRateReport;
 use mlc_cache_sim::HierarchyConfig;
 use mlc_core::rescache::{CacheKey, ResultCache, SimProtocol};
-use mlc_model::trace_gen::{simulate_classified, simulate_steady_with, simulate_with};
+use mlc_model::trace_gen::simulate_classified;
 use mlc_model::{DataLayout, Program};
 use mlc_telemetry::{MetricsRegistry, MissClassifier};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
-
-/// Process-wide fast-path switch for the figure binaries: when cleared (the
-/// `--no-fast-path` flag), [`simulate_one`] and [`simulate_cold`] force the
-/// per-access scalar trace path instead of run-length batching. The two
-/// paths are differentially tested to be bitwise identical, so this exists
-/// for A/B timing and as an escape hatch, not because results differ.
-static FAST_PATH: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the run-length fast path for subsequent simulations.
-pub fn set_fast_path(enabled: bool) {
-    FAST_PATH.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the run-length fast path is currently enabled.
-pub fn fast_path_enabled() -> bool {
-    FAST_PATH.load(Ordering::Relaxed)
-}
-
-/// Serializes tests that flip the process-wide [`FAST_PATH`] switch so they
-/// don't observe each other's state under the parallel test runner.
-#[cfg(test)]
-pub(crate) static FAST_PATH_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Process-wide analytic-engine switch (the `--no-analytic` flag): when set
-/// (the default), [`simulate_one`] and [`simulate_cold`] put the
-/// closed-form nest engine ([`mlc_core::analytic`]) in front of the
-/// hierarchy, closing certified affine nests without replaying them.
-/// Like the fast path, the engine is differentially tested bitwise
-/// identical wherever it engages, so this is an A/B lever and escape
-/// hatch, not a fidelity knob. Scalar mode (`--no-fast-path`) implies no
-/// analytic engine: nests are only offered on the run-length path.
-static ANALYTIC: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the analytic nest engine for subsequent simulations.
-pub fn set_analytic(enabled: bool) {
-    ANALYTIC.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the analytic nest engine is currently enabled.
-pub fn analytic_enabled() -> bool {
-    ANALYTIC.load(Ordering::Relaxed)
-}
-
-/// Process-wide content-addressed result cache. When installed (the
-/// `--cache-dir` flag every experiment binary accepts via
-/// [`crate::TelemetryCli`]), [`simulate_one`] and [`simulate_cold`] are
-/// memoized through `mlc_core::rescache`: a [`CacheKey`] over program IR +
-/// layout + hierarchy + protocol + simulator salt addresses a checksummed
-/// on-disk entry, and repeat simulations become file reads.
-static RESULT_CACHE: RwLock<Option<Arc<ResultCache>>> = RwLock::new(None);
-
-/// Install (or, with `None`, remove) the process-wide result cache.
-pub fn install_result_cache(cache: Option<Arc<ResultCache>>) {
-    *RESULT_CACHE.write().unwrap_or_else(|e| e.into_inner()) = cache;
-}
-
-/// A handle to the installed result cache, if any.
-pub fn result_cache() -> Option<Arc<ResultCache>> {
-    RESULT_CACHE
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-}
-
-/// Serializes tests that install a process-wide result cache.
-#[cfg(test)]
-pub(crate) static RESULT_CACHE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Miss rates of the three versions of one program.
 #[derive(Debug, Clone)]
@@ -94,41 +25,38 @@ pub const WARMUP: usize = 1;
 /// TIMED.
 pub const TIMED: usize = 1;
 
-/// Simulate under `protocol`, consulting the installed result cache.
+/// Simulate under `protocol` with the closed-form nest engine
+/// ([`mlc_core::analytic`]) in front of run-length replay, memoized through
+/// `cache` when one is given (the `--cache-dir` flag every experiment
+/// binary accepts via [`crate::TelemetryCli`]): a [`CacheKey`] over
+/// program IR + layout + hierarchy + protocol + simulator salt addresses a
+/// checksummed on-disk entry, and repeat simulations become file reads.
 ///
-/// Neither the fast-path switch nor the analytic switch is part of the
-/// cache key: all three paths (scalar, run-length, analytic) are
-/// differentially tested to be bitwise identical, so any may serve the
-/// others' cached results.
+/// The simulation tier is not part of the cache key: scalar, run-length
+/// and analytic are differentially tested to be bitwise identical
+/// (`fastpath_parity`, `analytic_parity`), so any may serve the others'
+/// cached results.
 fn simulate_protocol(
     program: &Program,
     layout: &DataLayout,
     h: &HierarchyConfig,
     protocol: SimProtocol,
+    cache: Option<&ResultCache>,
 ) -> MissRateReport {
     let run = || {
-        let fast = fast_path_enabled();
-        let analytic = fast && analytic_enabled();
         match protocol {
-            SimProtocol::Cold if analytic => mlc_core::try_simulate_analytic(program, layout, h)
-                .unwrap_or_else(|e| panic!("{e}")),
-            SimProtocol::Cold => simulate_with(program, layout, h, fast),
-            SimProtocol::Steady { warmup, timed } if analytic => {
-                mlc_core::try_simulate_steady_analytic(
-                    program,
-                    layout,
-                    h,
-                    warmup as usize,
-                    timed as usize,
-                )
-                .unwrap_or_else(|e| panic!("{e}"))
-            }
-            SimProtocol::Steady { warmup, timed } => {
-                simulate_steady_with(program, layout, h, warmup as usize, timed as usize, fast)
-            }
+            SimProtocol::Cold => mlc_core::try_simulate_analytic(program, layout, h),
+            SimProtocol::Steady { warmup, timed } => mlc_core::try_simulate_steady_analytic(
+                program,
+                layout,
+                h,
+                warmup as usize,
+                timed as usize,
+            ),
         }
+        .unwrap_or_else(|e| panic!("{e}"))
     };
-    match result_cache() {
+    match cache {
         Some(cache) => {
             let key = CacheKey::derive(program, layout, h, protocol);
             cache.get_or_compute(key, run)
@@ -138,7 +66,12 @@ fn simulate_protocol(
 }
 
 /// Simulate one program+layout with the standard protocol.
-pub fn simulate_one(program: &Program, layout: &DataLayout, h: &HierarchyConfig) -> MissRateReport {
+pub fn simulate_one(
+    program: &Program,
+    layout: &DataLayout,
+    h: &HierarchyConfig,
+    cache: Option<&ResultCache>,
+) -> MissRateReport {
     simulate_protocol(
         program,
         layout,
@@ -147,18 +80,19 @@ pub fn simulate_one(program: &Program, layout: &DataLayout, h: &HierarchyConfig)
             warmup: WARMUP as u64,
             timed: TIMED as u64,
         },
+        cache,
     )
 }
 
-/// Single cold sweep (no warm-up), honouring the fast-path switch. The
-/// figure binaries that study compulsory behaviour use this instead of the
-/// steady-state protocol.
+/// Single cold sweep (no warm-up). The figure binaries that study
+/// compulsory behaviour use this instead of the steady-state protocol.
 pub fn simulate_cold(
     program: &Program,
     layout: &DataLayout,
     h: &HierarchyConfig,
+    cache: Option<&ResultCache>,
 ) -> MissRateReport {
-    simulate_protocol(program, layout, h, SimProtocol::Cold)
+    simulate_protocol(program, layout, h, SimProtocol::Cold, cache)
 }
 
 /// Simulate one program+layout with the shadow-cache miss classifier
@@ -181,11 +115,15 @@ pub fn simulate_one_classified(
 }
 
 /// Simulate all three versions.
-pub fn simulate_versions(v: &Versions, h: &HierarchyConfig) -> SimResult {
+pub fn simulate_versions(
+    v: &Versions,
+    h: &HierarchyConfig,
+    cache: Option<&ResultCache>,
+) -> SimResult {
     SimResult {
-        orig: simulate_one(&v.orig_program, &v.orig_layout, h),
-        l1: simulate_one(&v.l1.program, &v.l1.layout, h),
-        l1l2: simulate_one(&v.l1l2.program, &v.l1l2.layout, h),
+        orig: simulate_one(&v.orig_program, &v.orig_layout, h, cache),
+        l1: simulate_one(&v.l1.program, &v.l1.layout, h, cache),
+        l1l2: simulate_one(&v.l1l2.program, &v.l1l2.layout, h, cache),
     }
 }
 
@@ -209,7 +147,7 @@ mod tests {
         let h = HierarchyConfig::ultrasparc_i();
         let p = figure2_example(512);
         let v = build_versions(&p, &h, OptLevel::Conflict);
-        let r = simulate_versions(&v, &h);
+        let r = simulate_versions(&v, &h, None);
         assert!(r.l1.miss_rate(0) < r.orig.miss_rate(0));
         assert!(r.l1.miss_rate(1) < r.orig.miss_rate(1));
         assert!(r.l1l2.miss_rate(0) <= r.l1.miss_rate(0) + 1e-3);
@@ -224,26 +162,21 @@ mod tests {
     }
 
     #[test]
-    fn installed_cache_serves_identical_results() {
-        let _g = RESULT_CACHE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+    fn cache_serves_identical_results() {
         let dir = std::env::temp_dir().join(format!("mlc-sim-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = std::sync::Arc::new(ResultCache::open(&dir).unwrap());
+        let cache = ResultCache::open(&dir).unwrap();
         let h = HierarchyConfig::ultrasparc_i();
         let p = figure2_example(96);
         let l = mlc_model::DataLayout::contiguous(&p.arrays);
 
-        let uncached_steady = simulate_one(&p, &l, &h);
-        let uncached_cold = simulate_cold(&p, &l, &h);
+        let uncached_steady = simulate_one(&p, &l, &h, None);
+        let uncached_cold = simulate_cold(&p, &l, &h, None);
 
-        install_result_cache(Some(cache.clone()));
-        let first_steady = simulate_one(&p, &l, &h);
-        let first_cold = simulate_cold(&p, &l, &h);
-        let second_steady = simulate_one(&p, &l, &h);
-        let second_cold = simulate_cold(&p, &l, &h);
-        install_result_cache(None);
+        let first_steady = simulate_one(&p, &l, &h, Some(&cache));
+        let first_cold = simulate_cold(&p, &l, &h, Some(&cache));
+        let second_steady = simulate_one(&p, &l, &h, Some(&cache));
+        let second_cold = simulate_cold(&p, &l, &h, Some(&cache));
 
         assert_eq!(uncached_steady, first_steady);
         assert_eq!(uncached_cold, first_cold);
@@ -254,45 +187,5 @@ mod tests {
         assert_eq!(s.stores, 2);
         assert_eq!(s.hits, 2);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fast_path_toggle_does_not_change_results() {
-        let _g = FAST_PATH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let h = HierarchyConfig::ultrasparc_i();
-        let p = figure2_example(96);
-        let l = mlc_model::DataLayout::contiguous(&p.arrays);
-        set_fast_path(false);
-        let scalar_steady = simulate_one(&p, &l, &h);
-        let scalar_cold = simulate_cold(&p, &l, &h);
-        assert!(!fast_path_enabled());
-        set_fast_path(true);
-        let fast_steady = simulate_one(&p, &l, &h);
-        let fast_cold = simulate_cold(&p, &l, &h);
-        assert!(fast_path_enabled());
-        assert_eq!(scalar_steady, fast_steady);
-        assert_eq!(scalar_cold, fast_cold);
-    }
-
-    #[test]
-    fn analytic_toggle_does_not_change_results() {
-        let _g = FAST_PATH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let h = HierarchyConfig::ultrasparc_i();
-        let p = figure2_example(96);
-        let l = mlc_model::DataLayout::contiguous(&p.arrays);
-        set_analytic(false);
-        let replay_steady = simulate_one(&p, &l, &h);
-        let replay_cold = simulate_cold(&p, &l, &h);
-        assert!(!analytic_enabled());
-        set_analytic(true);
-        let analytic_steady = simulate_one(&p, &l, &h);
-        let analytic_cold = simulate_cold(&p, &l, &h);
-        assert!(analytic_enabled());
-        assert_eq!(replay_steady, analytic_steady);
-        assert_eq!(replay_cold, analytic_cold);
     }
 }

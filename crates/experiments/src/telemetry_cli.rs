@@ -6,9 +6,6 @@
 //! ```text
 //! --trace-out PATH      # span/event trace as JSONL
 //! --metrics-out PATH    # metrics registry as JSON (or CSV if PATH ends in .csv)
-//! --no-fast-path        # force per-access scalar simulation (A/B timing)
-//! --no-analytic         # disable closed-form nest accounting (A/B timing)
-//! --no-fast-search      # force the exhaustive padding-position scan
 //! --cache-dir PATH      # persist simulation results in a content-addressed store
 //! --no-cache            # ignore --cache-dir: simulate everything fresh
 //! --threads N           # pin the process-wide worker-thread count
@@ -19,38 +16,18 @@
 //! that is enabled iff at least one output was requested. The files are
 //! written by [`TelemetryCli::finish`]; as a safety net `Drop` also writes
 //! them, so binaries with early-return paths still produce their outputs.
-//!
-//! `--no-fast-path` clears the process-wide switch read by
-//! [`crate::sim::simulate_one`]/[`crate::sim::simulate_cold`], forcing the
-//! per-access scalar trace path instead of run-length batching. Results are
-//! identical either way (differentially tested); the flag exists for
-//! throughput A/B runs and as an escape hatch. Telemetry probing does not
-//! need it: a probed hierarchy never takes the fast path, because the probe
-//! must observe every individual access.
-//!
-//! `--no-analytic` clears [`crate::sim::set_analytic`], keeping the
-//! closed-form nest engine (`mlc_core::analytic`) out of the simulation
-//! path so every nest replays through the run-length (or scalar) walker.
-//! Like the fast path it is bitwise neutral — the engine only closes nests
-//! it can account exactly — and exists for the `analytic_throughput` A/B
-//! benchmark and as an escape hatch. Coverage counters (`analytic.*`)
-//! land in `--metrics-out` either way.
-//!
-//! `--no-fast-search` is the optimizer-side sibling: it clears
-//! [`mlc_core::search::set_fast_search`], making the padding passes run the
-//! exhaustive scalar position scan instead of the pruned incremental
-//! engine. Layouts are bitwise identical either way (differentially
-//! tested); the flag exists for the `optimizer_throughput` A/B benchmark
-//! and as an escape hatch.
+//! A path flag with no value is an error (exit status 2), like a
+//! `--threads` with no count.
 //!
 //! `--cache-dir PATH` opens an `mlc_core::rescache::ResultCache` at PATH
-//! and installs it process-wide ([`crate::sim::install_result_cache`]),
-//! so every simulation the binary runs is memoized to disk. The cache is
-//! content-addressed and differentially guarded, so results are bitwise
-//! identical with and without it (see `docs/CACHING.md`). `--no-cache`
-//! wins over `--cache-dir` wherever both appear — handy for overriding a
-//! cache baked into a wrapper script. A cache summary goes to stderr (and
-//! into `--metrics-out` under `rescache.*`) at exit.
+//! and hands it back as [`TelemetryCli::cache`]; the binaries pass it to
+//! [`crate::sim::simulate_one`] and friends, so every simulation they run
+//! is memoized to disk. The cache is content-addressed and differentially
+//! guarded, so results are bitwise identical with and without it (see
+//! `docs/CACHING.md`). `--no-cache` wins over `--cache-dir` wherever both
+//! appear — handy for overriding a cache baked into a wrapper script. A
+//! cache summary goes to stderr (and into `--metrics-out` under
+//! `rescache.*`) at exit.
 //!
 //! `--threads N` pins the process-wide worker-thread count via
 //! [`mlc_core::par::set_thread_override`], so the explicit flag beats the
@@ -75,10 +52,10 @@ pub struct TelemetryCli {
     /// The bundle to thread through instrumented code. Enabled iff the user
     /// asked for at least one output file.
     pub telemetry: Telemetry,
-    /// The result cache this invocation installed (if `--cache-dir` was
-    /// given and `--no-cache` was not). Held here so [`finish`] can report
-    /// its traffic; the same cache is installed process-wide for
-    /// [`crate::sim::simulate_one`] and friends.
+    /// The result cache this invocation opened (if `--cache-dir` was given
+    /// and `--no-cache` was not). The binaries pass it to
+    /// [`crate::sim::simulate_one`] and friends; [`finish`] reports its
+    /// traffic.
     ///
     /// [`finish`]: TelemetryCli::finish
     pub cache: Option<Arc<ResultCache>>,
@@ -90,7 +67,8 @@ pub struct TelemetryCli {
 impl TelemetryCli {
     /// Split `argv` into telemetry flags (consumed here) and everything else
     /// (returned for the binary's own parser). Accepts both `--flag PATH`
-    /// and `--flag=PATH` spellings.
+    /// and `--flag=PATH` spellings; exits with status 2 when a flag's value
+    /// is missing.
     pub fn extract(argv: Vec<String>) -> (Self, Vec<String>) {
         let mut rest = Vec::with_capacity(argv.len());
         let mut trace_out: Option<PathBuf> = None;
@@ -100,11 +78,11 @@ impl TelemetryCli {
         let mut it = argv.into_iter();
         while let Some(arg) = it.next() {
             if arg == "--trace-out" {
-                trace_out = it.next().map(PathBuf::from);
+                trace_out = Some(path_value(&mut it, &arg));
             } else if arg == "--metrics-out" {
-                metrics_out = it.next().map(PathBuf::from);
+                metrics_out = Some(path_value(&mut it, &arg));
             } else if arg == "--cache-dir" {
-                cache_dir = it.next().map(PathBuf::from);
+                cache_dir = Some(path_value(&mut it, &arg));
             } else if let Some(v) = arg.strip_prefix("--trace-out=") {
                 trace_out = Some(PathBuf::from(v));
             } else if let Some(v) = arg.strip_prefix("--metrics-out=") {
@@ -121,12 +99,6 @@ impl TelemetryCli {
                 apply_threads(&v);
             } else if let Some(v) = arg.strip_prefix("--threads=") {
                 apply_threads(v);
-            } else if arg == "--no-fast-path" {
-                crate::sim::set_fast_path(false);
-            } else if arg == "--no-analytic" {
-                crate::sim::set_analytic(false);
-            } else if arg == "--no-fast-search" {
-                mlc_core::search::set_fast_search(false);
             } else {
                 rest.push(arg);
             }
@@ -136,7 +108,7 @@ impl TelemetryCli {
         } else {
             Telemetry::disabled()
         };
-        let touched = no_cache || cache_dir.is_some();
+        // `--no-cache` wins over `--cache-dir`, whatever their order.
         let cache = match (no_cache, cache_dir) {
             (true, _) | (false, None) => None,
             (false, Some(dir)) => match ResultCache::open(&dir) {
@@ -151,11 +123,6 @@ impl TelemetryCli {
                 }
             },
         };
-        if touched {
-            // `--no-cache` wins: it clears whatever would otherwise be
-            // installed. Without either flag the global is left alone.
-            crate::sim::install_result_cache(cache.clone());
-        }
         (
             Self {
                 telemetry,
@@ -225,6 +192,15 @@ impl Drop for TelemetryCli {
     }
 }
 
+/// The path after a `--flag PATH` spelling; a missing path exits with
+/// status 2 rather than silently leaving the output off.
+fn path_value(it: &mut impl Iterator<Item = String>, flag: &str) -> PathBuf {
+    it.next().map(PathBuf::from).unwrap_or_else(|| {
+        eprintln!("{flag} needs a path");
+        std::process::exit(2);
+    })
+}
+
 /// Parse and pin a `--threads` value. An explicit flag beats `MLC_THREADS`
 /// everywhere `default_threads()` is consulted, including worker pools
 /// spun up long after argument parsing (the `mlc-serve` server).
@@ -271,46 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn no_fast_path_flag_is_stripped_and_disables_fast_path() {
-        let _g = crate::sim::FAST_PATH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        crate::sim::set_fast_path(true);
-        let (_t, rest) = TelemetryCli::extract(sv(&["mlc", "--no-fast-path", "fig11"]));
-        assert_eq!(rest, sv(&["mlc", "fig11"]));
-        assert!(!crate::sim::fast_path_enabled());
-        crate::sim::set_fast_path(true); // restore for other tests
-    }
-
-    #[test]
-    fn no_analytic_flag_is_stripped_and_disables_analytic() {
-        let _g = crate::sim::FAST_PATH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        crate::sim::set_analytic(true);
-        let (_t, rest) = TelemetryCli::extract(sv(&["mlc", "--no-analytic", "fig11"]));
-        assert_eq!(rest, sv(&["mlc", "fig11"]));
-        assert!(!crate::sim::analytic_enabled());
-        crate::sim::set_analytic(true); // restore for other tests
-    }
-
-    #[test]
-    fn no_fast_search_flag_is_stripped_and_disables_fast_search() {
-        let _g = mlc_core::search::FAST_SEARCH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        mlc_core::search::set_fast_search(true);
-        let (_t, rest) = TelemetryCli::extract(sv(&["mlc", "--no-fast-search", "fig11"]));
-        assert_eq!(rest, sv(&["mlc", "fig11"]));
-        assert!(!mlc_core::search::fast_search_enabled());
-        mlc_core::search::set_fast_search(true); // restore for other tests
-    }
-
-    #[test]
-    fn cache_dir_flag_installs_and_no_cache_wins() {
-        let _g = crate::sim::RESULT_CACHE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+    fn cache_dir_flag_opens_and_no_cache_wins() {
         let dir =
             std::env::temp_dir().join(format!("mlc-telemetry-cli-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -319,11 +256,10 @@ mod tests {
         let (t, rest) = TelemetryCli::extract(sv(&["mlc", "--cache-dir", &dir_s, "fig09"]));
         assert_eq!(rest, sv(&["mlc", "fig09"]));
         assert!(t.cache.is_some());
-        assert!(crate::sim::result_cache().is_some());
         assert!(dir.is_dir(), "extract must create the cache directory");
         drop(t);
 
-        // --no-cache wins regardless of flag order, and clears the global.
+        // --no-cache wins regardless of flag order.
         let (t2, rest2) = TelemetryCli::extract(sv(&[
             "mlc",
             "--no-cache",
@@ -332,18 +268,13 @@ mod tests {
         ]));
         assert_eq!(rest2, sv(&["mlc", "fig09"]));
         assert!(t2.cache.is_none());
-        assert!(crate::sim::result_cache().is_none());
         drop(t2);
 
-        crate::sim::install_result_cache(None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn finish_exports_cache_metrics() {
-        let _g = crate::sim::RESULT_CACHE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!(
             "mlc-telemetry-cli-cache-metrics-{}",
             std::process::id()
@@ -363,7 +294,6 @@ mod tests {
         t.finish().unwrap();
         let written = std::fs::read_to_string(&metrics_path).unwrap();
         assert!(written.contains("rescache.hit_rate"));
-        crate::sim::install_result_cache(None);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(&metrics_path).ok();
     }

@@ -128,3 +128,18 @@ fn no_flags_writes_no_files() {
     assert_eq!(before.len(), after.len());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A path flag given without its path stops the binary with exit status 2
+/// instead of silently leaving the output (or the cache) off.
+#[test]
+fn path_flag_without_value_exits_2() {
+    for flag in ["--cache-dir", "--trace-out", "--metrics-out"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mlc"))
+            .arg(flag)
+            .output()
+            .expect("spawn mlc");
+        assert_eq!(out.status.code(), Some(2), "mlc {flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "mlc {flag}: {stderr}");
+    }
+}

@@ -51,7 +51,8 @@ fn seeded_fuzz_cases_simulate_identically_across_thread_counts() {
     }
 
     let simulate = |c: &Case| {
-        let report = mlc_experiments::sim::simulate_cold(&c.program, &c.layout(), &c.hierarchy);
+        let report =
+            mlc_experiments::sim::simulate_cold(&c.program, &c.layout(), &c.hierarchy, None);
         report_to_json(&report).to_string_compact()
     };
     let (serial, _) = execute(cases.clone(), 1, simulate);

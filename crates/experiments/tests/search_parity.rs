@@ -11,11 +11,11 @@
 //! CI search-parity job) runs every kernel everywhere.
 
 use mlc_cache_sim::HierarchyConfig;
-use mlc_core::group_pad::{group_pad_multi, group_pad_quantized};
+use mlc_core::group::ProgramSkeleton;
+use mlc_core::group_pad::{group_pad_multi, group_pad_quantized_with};
 use mlc_core::maxpad::l2_max_pad;
 use mlc_core::pad::PadResult;
-use mlc_core::search::{set_fast_search, FAST_SEARCH_TEST_LOCK};
-use mlc_core::{multilvl_pad, PadError};
+use mlc_core::{multilvl_pad, PadError, PadSearch};
 use mlc_kernels::registry::all_kernels;
 use mlc_kernels::Kernel;
 use mlc_model::Program;
@@ -24,16 +24,10 @@ use mlc_model::Program;
 fn assert_search_parity(
     name: &str,
     program: &Program,
-    algorithm: impl Fn(&Program) -> Result<PadResult, PadError>,
+    algorithm: impl Fn(&Program, PadSearch) -> Result<PadResult, PadError>,
 ) {
-    let _g = FAST_SEARCH_TEST_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    set_fast_search(true);
-    let fast = algorithm(program);
-    set_fast_search(false);
-    let scalar = algorithm(program);
-    set_fast_search(true);
+    let fast = algorithm(program, PadSearch::Pruned);
+    let scalar = algorithm(program, PadSearch::Exhaustive);
     match (fast, scalar) {
         (Ok(fast), Ok(scalar)) => {
             assert_eq!(fast.pads, scalar.pads, "{name}: pads diverge");
@@ -71,17 +65,25 @@ fn assert_kernel_parity(kernel: &dyn Kernel, cfg: &HierarchyConfig, hname: &str)
     let program = kernel.model();
     let l1 = cfg.l1();
     let kname = kernel.name();
-    assert_search_parity(&format!("{kname}/{hname}/GROUPPAD"), &program, |p| {
-        group_pad_quantized(p, l1, l1.line as u64, &[])
-    });
-    assert_search_parity(&format!("{kname}/{hname}/GROUPPAD-multi"), &program, |p| {
-        group_pad_multi(p, cfg)
-    });
-    assert_search_parity(&format!("{kname}/{hname}/L2MAXPAD"), &program, |p| {
-        let g = group_pad_quantized(p, l1, l1.line as u64, &[])?;
-        l2_max_pad(p, l1, cfg.levels[1], &g.pads)
-    });
-    assert_search_parity(&format!("{kname}/{hname}/MULTILVLPAD"), &program, |p| {
+    let grouppad = |p: &Program, engine| {
+        group_pad_quantized_with(p, &ProgramSkeleton::new(p), l1, l1.line as u64, &[], engine)
+    };
+    assert_search_parity(&format!("{kname}/{hname}/GROUPPAD"), &program, grouppad);
+    assert_search_parity(
+        &format!("{kname}/{hname}/GROUPPAD-multi"),
+        &program,
+        |p, engine| group_pad_multi(p, cfg, engine),
+    );
+    assert_search_parity(
+        &format!("{kname}/{hname}/L2MAXPAD"),
+        &program,
+        |p, engine| {
+            let g = grouppad(p, engine)?;
+            l2_max_pad(p, l1, cfg.levels[1], &g.pads)
+        },
+    );
+    // MULTILVLPAD runs no GROUPPAD search: both calls must agree anyway.
+    assert_search_parity(&format!("{kname}/{hname}/MULTILVLPAD"), &program, |p, _| {
         Ok(multilvl_pad(p, cfg))
     });
 }

@@ -1,24 +1,21 @@
 //! The oracle battery: every differential pair and paper invariant checked
 //! on one [`Case`].
 //!
-//! Each oracle is pure with respect to the case (the search-parity oracle
-//! serializes on [`mlc_core::search::FAST_SEARCH_TEST_LOCK`] because the
-//! fast-search switch is process-wide). Library panics — including the
-//! padding searches' "no conflict-free position" exhaustion and debug-build
-//! cross-check assertions — are caught and either reported as violations or
-//! recorded as skips when they are a documented legitimate outcome rather
-//! than a bug.
+//! Each oracle is pure with respect to the case. Library panics —
+//! including the padding searches' "no conflict-free position" exhaustion
+//! and debug-build cross-check assertions — are caught and either reported
+//! as violations or recorded as skips when they are a documented legitimate
+//! outcome rather than a bug.
 
 use crate::case::Case;
 use mlc_cache_sim::tlb::Tlb;
 use mlc_core::conflict::severe_conflicts;
 use mlc_core::fusion::{accounting_cost, fusion_profit, reuse_layout};
 use mlc_core::group::{exploited_count, ProgramSkeleton};
-use mlc_core::group_pad::{group_pad, group_pad_multi};
+use mlc_core::group_pad::{group_pad, group_pad_multi, group_pad_quantized_with};
 use mlc_core::maxpad::l2_max_pad;
 use mlc_core::pad::{multilvl_pad, pad_all_levels, PadResult};
-use mlc_core::search::{fast_search_enabled, set_fast_search, FAST_SEARCH_TEST_LOCK};
-use mlc_core::{estimate_misses, MissCosts};
+use mlc_core::{estimate_misses, MissCosts, PadSearch};
 use mlc_model::trace_gen::{try_generate_with, try_simulate_steady_with, try_simulate_with};
 use mlc_model::DataLayout;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -122,16 +119,6 @@ fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 /// legitimate outcome on pathological programs, not a bug.
 fn is_search_exhaustion(msg: &str) -> bool {
     msg.contains("padding search for")
-}
-
-/// Restores the process-wide fast-search switch on drop, so a panicking
-/// oracle cannot leak a disabled switch into later cases.
-struct FastSearchGuard;
-
-impl Drop for FastSearchGuard {
-    fn drop(&mut self) {
-        set_fast_search(true);
-    }
 }
 
 /// Run the full battery on one case.
@@ -774,25 +761,18 @@ fn check_tlb_run_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
 fn check_search_parity(case: &Case, r: &mut Report) {
     let oracle = "search-parity";
     let (p, h) = (&case.program, &case.hierarchy);
-    let _lock = FAST_SEARCH_TEST_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let _guard = FastSearchGuard;
-
-    set_fast_search(true);
-    debug_assert!(fast_search_enabled());
-    let fast = caught(|| {
-        let g = group_pad(p, h.l1());
-        let m = (h.depth() >= 2).then(|| group_pad_multi(p, h));
-        (g, m)
-    });
-    set_fast_search(false);
-    let scalar = caught(|| {
-        let g = group_pad(p, h.l1());
-        let m = (h.depth() >= 2).then(|| group_pad_multi(p, h));
-        (g, m)
-    });
-    set_fast_search(true);
+    let l1 = h.l1();
+    let search = |engine| {
+        caught(|| {
+            let skel = ProgramSkeleton::new(p);
+            let g = group_pad_quantized_with(p, &skel, l1, l1.line as u64, &[], engine)
+                .expect("cache line divides cache size");
+            let m = (h.depth() >= 2).then(|| group_pad_multi(p, h, engine));
+            (g, m)
+        })
+    };
+    let fast = search(PadSearch::Pruned);
+    let scalar = search(PadSearch::Exhaustive);
 
     match (fast, scalar) {
         (Ok((gf, mf)), Ok((gs, ms))) => {
@@ -1213,12 +1193,5 @@ mod tests {
         for name in ORACLES {
             assert!(seen.contains(name), "oracle {name} never ran in 40 cases");
         }
-    }
-
-    #[test]
-    fn fast_search_switch_is_restored_after_checks() {
-        let case = Case::generate(3, &CaseConfig::default());
-        check_case(&case);
-        assert!(fast_search_enabled());
     }
 }

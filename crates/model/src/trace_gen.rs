@@ -418,8 +418,8 @@ impl CompiledNest {
 
     /// [`CompiledNest::run`] forced down the per-access scalar path: every
     /// reference of every trip goes through [`AccessSink::access`]
-    /// individually. The differential-parity tests (and the experiment
-    /// binaries' `--no-fast-path` flag) compare this against the run path.
+    /// individually. The differential-parity tests and the
+    /// `trace_throughput` A/B benchmark compare this against the run path.
     pub fn run_scalar(&self, sink: &mut impl AccessSink) -> u64 {
         self.run_with(sink, false)
     }
@@ -1435,46 +1435,6 @@ mod tests {
         assert_eq!(&addrs[..4], &[0, 8, 32, 40]);
         // j=1: y bit 0 set -> offset bit 1.
         assert_eq!(&addrs[4..8], &[16, 24, 48, 56]);
-    }
-
-    #[test]
-    fn morton_single_ref_fast_path_batches_runs() {
-        // A 1-D morton family is linear-in-disguise: the whole innermost
-        // sweep must coalesce into runs, not per-access emissions.
-        let mut p = Program::new("t");
-        let a = p.add_array(ArrayDecl::f64("A", vec![64]));
-        p.add_nest(LoopNest::new(
-            "n",
-            vec![Loop::counted("i", 0, 63)],
-            vec![ArrayRef::read(a, vec![E::var("i")])],
-        ));
-        let fams = vec![crate::layout::LayoutFamily::morton_round_robin(
-            &p.arrays[0],
-        )];
-        let l = DataLayout::with_pads_and_families(&p.arrays, &[0], &fams).unwrap();
-        crate::layout::stats::take_stats(); // reset
-        let mut c = CountingSink::default();
-        assert_eq!(generate(&p, &l, &mut c), 64);
-        assert_eq!(c.total, 64);
-        let s = crate::layout::stats::take_stats();
-        assert_eq!(s.morton_nests, 1);
-        assert_eq!(s.morton_runs, 1, "sequential morton sweep is one run");
-        assert_eq!(s.morton_scalar_bails, 0);
-    }
-
-    #[test]
-    fn morton_multi_ref_body_bails_to_scalar() {
-        let (p, l) = morton_program(8);
-        crate::layout::stats::take_stats(); // reset
-        let mut c = CountingSink::default();
-        generate(&p, &l, &mut c);
-        let s = crate::layout::stats::take_stats();
-        assert_eq!(s.morton_nests, 1);
-        assert_eq!(s.morton_runs, 0);
-        assert_eq!(
-            s.morton_scalar_bails, 8,
-            "one bail per innermost invocation"
-        );
     }
 
     #[test]

@@ -896,12 +896,4 @@ mod tests {
         let err = cache_oblivious_unchecked(&nest, 2).unwrap_err();
         assert!(err.contains("non-constant"), "{err}");
     }
-
-    #[test]
-    fn cache_oblivious_counts_nests_in_layout_stats() {
-        crate::layout::stats::take_stats();
-        let p = matmul_model(8);
-        cache_oblivious_in_program(&p, 0, 4).unwrap();
-        assert!(crate::layout::stats::take_stats().cot_nests >= 1);
-    }
 }

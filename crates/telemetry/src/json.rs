@@ -7,6 +7,13 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so an unbounded document (a million `[`) would
+/// overflow the stack and abort the process; past this depth it returns a
+/// [`JsonError`] instead. The documents the workspace writes nest a few
+/// levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value. Objects preserve insertion order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -191,11 +198,13 @@ impl JsonValue {
         }
     }
 
-    /// Parse a complete JSON document.
+    /// Parse a complete JSON document. Nesting deeper than [`MAX_DEPTH`]
+    /// is an error.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -251,6 +260,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -295,8 +306,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -453,6 +475,39 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("12 34").is_err());
         assert!(JsonValue::parse("'single'").is_err());
+    }
+
+    #[test]
+    fn runaway_nesting_is_an_error_not_a_stack_overflow() {
+        let err = JsonValue::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.pos, MAX_DEPTH);
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let objects = |depth: usize| format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        assert!(JsonValue::parse(&objects(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn a_depth_64_document_parses() {
+        let mut text = String::from("0");
+        for i in 0..64 {
+            text = if i % 2 == 0 {
+                format!("[{text}, 1]")
+            } else {
+                format!("{{\"k\": {text}}}")
+            };
+        }
+        let mut v = &JsonValue::parse(&text).unwrap();
+        for i in (0..64).rev() {
+            v = if i % 2 == 0 {
+                &v.as_array().unwrap()[0]
+            } else {
+                v.get("k").unwrap()
+            };
+        }
+        assert_eq!(v, &JsonValue::Num(0.0));
     }
 
     #[test]
